@@ -5,7 +5,7 @@ PYTHON ?= python
 
 .PHONY: test test-faults cov lint typecheck check-plans bench bench-unified \
 	bench-program bench-planner bench-resilience bench-mp bench-service \
-	bench-reset clean-scratch serve
+	bench-reset clean-scratch serve perfbench-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -91,6 +91,13 @@ bench-mp:
 # 4-worker service must be at least 2x faster than the serial loop.
 bench-service:
 	$(PYTHON) -m benchmarks.bench_service --json BENCH_service.json
+
+# Benchmark smoke run: a short timed exec_chain run (it keeps going past the
+# 5 s until it has the harness's minimum request count).  Exits non-zero on
+# the benchmark's own output checks: every request verified against the NumPy
+# oracle, EXECUTE charges equal to ESTIMATE, and the compile-cache guards.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload exec_chain --seed 1 --seconds 5 --trace 0
 
 # Run the compile-and-run job server (HOST/PORT/WORKERS overridable):
 #   make serve PORT=8642 WORKERS=4

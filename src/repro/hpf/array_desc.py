@@ -93,6 +93,10 @@ class ArrayDescriptor:
                     f"template dimension {spec.target} of extent {template_extent}"
                 )
             self._dists.append(self.template.distribution(spec.target))
+        # Host-side index maps, computed on first use (the geometry above
+        # never changes after construction).
+        self._selections: Dict[int, Tuple[Tuple, Tuple[int, ...]]] = {}
+        self._owner_maps: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # basic geometry
@@ -157,15 +161,43 @@ class ArrayDescriptor:
         (as for every array in the paper's program); in that case the owner of
         an element is determined by that one coordinate.
         """
+        owners, _ = self.dim_owner_map(dim)
+        index = [0] * self.ndim
+        index[dim] = gindex
+        self._check_index(index)
+        return int(owners[int(gindex)])
+
+    def dim_owner_map(self, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(owner rank, local index)`` of every global index along ``dim``.
+
+        :meth:`owner_of_dim` and :meth:`global_to_local` over the whole
+        dimension, computed once per descriptor and cached (read-only
+        arrays).  Defined only when ``dim`` is the sole distributed dimension.
+        """
+        cached = self._owner_maps.get(dim)
+        if cached is not None:
+            return cached
         distributed = self.distributed_dims()
         if distributed != (dim,):
             raise DistributionError(
-                f"owner_of_dim({dim}) is only defined when dimension {dim} is the unique "
+                f"owners along dimension {dim} are only defined when it is the unique "
                 f"distributed dimension; array {self.name!r} distributes {distributed}"
             )
-        index = [0] * self.ndim
-        index[dim] = gindex
-        return self.owner_of(index)
+        dist = self._dists[dim]
+        grid_dim = self.template.grid_dim(self.alignment.specs[dim].target)  # type: ignore[arg-type]
+        owners = np.empty(self.shape[dim], dtype=np.int64)
+        local = np.empty(self.shape[dim], dtype=np.int64)
+        coords = [0] * self.grid.ndim
+        for coord in range(dist.nprocs):
+            owned = dist.local_indices(coord)
+            coords[grid_dim] = coord
+            owners[owned] = self.grid.rank_of(tuple(coords))
+            local[owned] = np.arange(owned.size)
+        owners.setflags(write=False)
+        local.setflags(write=False)
+        cached = (owners, local)
+        self._owner_maps[dim] = cached
+        return cached
 
     def global_to_local(self, index: Sequence[int]) -> Tuple[int, ...]:
         """Translate a global index into the owner's local index."""
@@ -239,12 +271,28 @@ class ArrayDescriptor:
     # ------------------------------------------------------------------
     # scatter / gather of dense data
     # ------------------------------------------------------------------
-    def scatter(self, global_array: np.ndarray) -> Dict[int, np.ndarray]:
-        """Split a dense global array into per-processor local arrays.
+    def _selection(self, rank: int) -> Tuple[Tuple, Tuple[int, ...]]:
+        """Index into the global array selecting ``rank``'s part, and its shape.
 
-        Works for any supported distribution by fancy-indexing with the owned
-        global indices along each dimension.
+        Basic slices when every owned range is contiguous (BLOCK and
+        replicated dimensions), an ``np.ix_`` index otherwise.  Cached.
         """
+        cached = self._selections.get(rank)
+        if cached is not None:
+            return cached
+        ranges = self.local_index_ranges(rank)
+        shape = tuple(len(r) for r in ranges)
+        if all(r.size == 0 or int(r[-1]) - int(r[0]) + 1 == r.size for r in ranges):
+            index: Tuple = tuple(
+                slice(int(r[0]), int(r[-1]) + 1) if r.size else slice(0, 0) for r in ranges
+            )
+        else:
+            index = np.ix_(*ranges)
+        self._selections[rank] = (index, shape)
+        return index, shape
+
+    def scatter(self, global_array: np.ndarray) -> Dict[int, np.ndarray]:
+        """Split a dense global array into per-processor local arrays."""
         global_array = np.asarray(global_array, dtype=self.dtype)
         if global_array.shape != self.shape:
             raise DistributionError(
@@ -252,8 +300,11 @@ class ArrayDescriptor:
             )
         locals_: Dict[int, np.ndarray] = {}
         for rank in range(self.nprocs):
-            ranges = self.local_index_ranges(rank)
-            locals_[rank] = global_array[np.ix_(*ranges)].copy() if self.ndim else global_array.copy()
+            index, _ = self._selection(rank)
+            part = global_array[index]
+            # Basic slices give a view to copy; fancy indexing already copied.
+            sliced = all(isinstance(i, slice) for i in index)
+            locals_[rank] = np.array(part) if sliced else part
         return locals_
 
     def gather(self, local_arrays: Dict[int, np.ndarray]) -> np.ndarray:
@@ -262,14 +313,13 @@ class ArrayDescriptor:
         for rank in range(self.nprocs):
             if rank not in local_arrays:
                 raise DistributionError(f"gather: missing local array for rank {rank}")
-            ranges = self.local_index_ranges(rank)
-            expected = tuple(len(r) for r in ranges)
+            index, expected = self._selection(rank)
             local = np.asarray(local_arrays[rank], dtype=self.dtype)
             if local.shape != expected:
                 raise DistributionError(
                     f"gather: rank {rank} local shape {local.shape} does not match expected {expected}"
                 )
-            out[np.ix_(*ranges)] = local
+            out[index] = local
         return out
 
     # ------------------------------------------------------------------

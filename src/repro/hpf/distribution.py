@@ -104,12 +104,13 @@ class Distribution(abc.ABC):
             )
         return lindex
 
+    @abc.abstractmethod
     def local_indices(self, proc: int) -> np.ndarray:
-        """Return the (sorted) global indices owned by processor ``proc``."""
-        proc = self._check_proc(proc)
-        return np.asarray(
-            [self.local_to_global(proc, l) for l in range(self.local_size(proc))], dtype=np.int64
-        )
+        """Return the (sorted) global indices owned by processor ``proc``.
+
+        Computed in closed form; it equals
+        ``[local_to_global(proc, l) for l in range(local_size(proc))]``.
+        """
 
     def is_distributed(self) -> bool:
         """True when different processors own different indices."""
@@ -190,6 +191,9 @@ class BlockDistribution(Distribution):
         stop = min(start + self.block, self.extent)
         return start, stop
 
+    def local_indices(self, proc: int) -> np.ndarray:
+        return np.arange(*self.local_bounds(proc), dtype=np.int64)
+
     def _signature(self) -> Tuple:
         return (self.block,)
 
@@ -216,6 +220,10 @@ class CyclicDistribution(Distribution):
             return 0
         full, rem = divmod(self.extent, self.nprocs)
         return full + (1 if proc < rem else 0)
+
+    def local_indices(self, proc: int) -> np.ndarray:
+        proc = self._check_proc(proc)
+        return np.arange(proc, self.extent, self.nprocs, dtype=np.int64)
 
 
 class BlockCyclicDistribution(Distribution):
@@ -264,6 +272,15 @@ class BlockCyclicDistribution(Distribution):
             size -= self.block - tail
         return size
 
+    def local_indices(self, proc: int) -> np.ndarray:
+        proc = self._check_proc(proc)
+        # Owned blocks proc, proc + P, ...; each expands to k consecutive
+        # indices, and the globally last block may be cut short.
+        blocks = np.arange(proc, math.ceil(self.extent / self.block), self.nprocs,
+                           dtype=np.int64)
+        indices = (blocks[:, None] * self.block + np.arange(self.block)).ravel()
+        return indices[indices < self.extent]
+
     def _signature(self) -> Tuple:
         return (self.block,)
 
@@ -290,6 +307,10 @@ class ReplicatedDistribution(Distribution):
     def local_size(self, proc: int) -> int:
         self._check_proc(proc)
         return self.extent
+
+    def local_indices(self, proc: int) -> np.ndarray:
+        self._check_proc(proc)
+        return np.arange(self.extent, dtype=np.int64)
 
     def is_distributed(self) -> bool:
         return False

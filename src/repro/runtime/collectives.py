@@ -23,7 +23,7 @@ import numpy as np
 from repro.exceptions import CollectiveError
 from repro.machine.cluster import Machine
 
-__all__ = ["global_sum", "broadcast", "point_to_point", "payload_bytes"]
+__all__ = ["global_sum", "sum_in_rank_order", "broadcast", "point_to_point", "payload_bytes"]
 
 
 def payload_bytes(shape: Sequence[int], itemsize: int) -> int:
@@ -57,21 +57,41 @@ def global_sum(
     machine.charge_global_sum(nbytes, nelements=nelements)
     if contributions is None:
         return None
-    if len(contributions) != machine.nprocs:
+    return sum_in_rank_order(contributions, machine.nprocs, shape)
+
+
+def sum_in_rank_order(
+    contributions: Dict[int, np.ndarray], nprocs: int, shape: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """Float64 sum of one contribution per rank, added in rank order.
+
+    The data half of :func:`global_sum`, uncharged.  Every backend reduces
+    through it, so a block of columns summed at once is bitwise the
+    column-by-column result: the elementwise additions are the same, in the
+    same order.  ``shape`` (optional) is checked against every contribution;
+    without it they must agree with rank 0's.
+    """
+    if len(contributions) != nprocs:
         raise CollectiveError(
-            f"global_sum expected {machine.nprocs} contributions, got {len(contributions)}"
+            f"global_sum expected {nprocs} contributions, got {len(contributions)}"
         )
-    expected = tuple(int(s) for s in shape)
+    expected = None if shape is None else tuple(int(s) for s in shape)
     total: Optional[np.ndarray] = None
-    for rank in range(machine.nprocs):
+    for rank in range(nprocs):
         if rank not in contributions:
             raise CollectiveError(f"global_sum missing contribution from rank {rank}")
         piece = np.asarray(contributions[rank])
+        if expected is None:
+            expected = piece.shape
         if piece.shape != expected:
             raise CollectiveError(
                 f"global_sum: rank {rank} contributed shape {piece.shape}, expected {expected}"
             )
-        total = piece.astype(np.float64, copy=True) if total is None else total + piece
+        if total is None:
+            total = piece.astype(np.float64, copy=True)
+        else:
+            np.add(total, piece, out=total)
+    assert total is not None
     return total
 
 

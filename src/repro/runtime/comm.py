@@ -15,7 +15,8 @@ The engines in :mod:`repro.runtime.executor` reach every collective through
   merged per-processor statistics stay bit-identical to a simulated run.
 
 A backend is bound to a machine once (``bind``), then serves ``global_sum`` /
-``broadcast`` / ``charge_all_to_all`` / ``scatter`` for the life of the VM.
+``reduce_block`` / ``broadcast`` / ``charge_all_to_all`` / ``scatter`` for the
+life of the VM.
 """
 
 from __future__ import annotations
@@ -58,6 +59,15 @@ class CommBackend:
     ) -> Optional[np.ndarray]:
         raise NotImplementedError
 
+    def reduce_block(self, contributions: Dict[int, np.ndarray]) -> np.ndarray:
+        """Float64 sum of every rank's contribution block, added in rank order.
+
+        Data only, never charged (like :meth:`scatter`): the engines reduce
+        a slab pair's columns in one block and charge each column separately
+        with ``global_sum(None, ...)``, keeping the per-column charge order.
+        """
+        raise NotImplementedError
+
     def charge_all_to_all(self, nbytes_per_pair: int) -> float:
         raise NotImplementedError
 
@@ -80,6 +90,9 @@ class SimulatedComm(CommBackend):
         return collectives.global_sum(
             self.machine, contributions, shape=shape, itemsize=itemsize
         )
+
+    def reduce_block(self, contributions):
+        return collectives.sum_in_rank_order(contributions, self.machine.nprocs)
 
     def broadcast(self, root, data, *, shape, itemsize):
         # The simulated broadcast does not care which rank owns the payload:

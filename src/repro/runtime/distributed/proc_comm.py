@@ -14,19 +14,21 @@ friends) applies to that row in the simulator:
   clock for that rank (induction over the SPMD program);
 * the collective seconds come from the same :class:`NetworkModel` formula
   with the same arguments, so they are the same float on every rank;
-* the float64 accumulation of a global sum happens at rank 0 in rank order,
-  reproducing the simulator's summation order bit-for-bit.
+* the float64 accumulation of a global sum (``reduce_block``) happens at
+  rank 0 in rank order, reproducing the simulator's summation order
+  bit-for-bit; the engines move a whole slab pair's columns in one such
+  block and charge each column with a data-free ``global_sum`` call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import CollectiveError
 from repro.machine.cluster import Machine
-from repro.runtime.collectives import payload_bytes
+from repro.runtime.collectives import payload_bytes, sum_in_rank_order
 from repro.runtime.comm import CommBackend
 from repro.runtime.distributed.transport import PipeTransport
 
@@ -66,51 +68,37 @@ class ProcessComm(CommBackend):
         )
         self.machine.clocks[self.rank].advance(seconds, "comm")
 
-    def _check_shape(self, piece: np.ndarray, shape) -> np.ndarray:
-        expected = tuple(int(s) for s in shape)
-        if piece.shape != expected:
-            raise CollectiveError(
-                f"global_sum: rank {self.rank} contributed shape {piece.shape}, "
-                f"expected {expected}"
-            )
-        return piece
-
     # ------------------------------------------------------------------
+    def reduce_block(self, contributions, shape=None):
+        """Root sums every rank's block in rank order and broadcasts the total."""
+        if contributions is None or self.rank not in contributions:
+            raise CollectiveError(
+                "the distributed backend runs EXECUTE mode only; reduce_block "
+                "needs this rank's contribution"
+            )
+        gathered = self.transport.gather_to_root(np.asarray(contributions[self.rank]), 0)
+        total = None
+        if self.transport.rank == 0:
+            total = sum_in_rank_order(dict(enumerate(gathered)), self.machine.nprocs, shape)
+        return np.asarray(self.transport.broadcast_from(total, 0))
+
     def global_sum(self, contributions, *, shape, itemsize):
+        """All-reduce; ``contributions=None`` charges without moving data.
+
+        Either way the ranks exchange clocks, so every call synchronizes
+        exactly like the simulator's ``charge_global_sum``.
+        """
         machine = self.machine
         nprocs = machine.nprocs
         nbytes = payload_bytes(shape, itemsize)
         nelements = nbytes // max(int(itemsize), 1)
-        if contributions is None or self.rank not in contributions:
-            raise CollectiveError(
-                "the distributed backend runs EXECUTE mode only; global_sum "
-                "needs this rank's contribution"
-            )
-        piece = self._check_shape(np.asarray(contributions[self.rank]), shape)
-
-        # One combined round trip: root receives (now, piece) from everyone,
-        # reduces both, and broadcasts (global_now, total).
-        gathered = self.transport.gather_to_root((self._own_now(), piece), 0)
-        if self.transport.rank == 0:
-            global_now = max(now for now, _ in gathered)
-            total: Optional[np.ndarray] = None
-            for rank in range(nprocs):
-                contribution = np.asarray(gathered[rank][1])
-                total = (
-                    contribution.astype(np.float64, copy=True)
-                    if total is None
-                    else total + contribution
-                )
-            reply = (global_now, total)
-        else:
-            reply = None
-        global_now, total = self.transport.broadcast_from(reply, 0)
-
-        self._synchronize_to(float(global_now))
+        total = None if contributions is None else self.reduce_block(contributions, shape)
+        global_now = float(self.transport.allreduce(self._own_now(), max))
+        self._synchronize_to(global_now)
         seconds = machine.network.global_sum(nbytes, nprocs, nelements)
         rounds = machine.network.params.collective_rounds(nprocs)
         self._charge_collective(seconds, rounds, nbytes)
-        return np.asarray(total)
+        return total
 
     # ------------------------------------------------------------------
     def broadcast(self, root, data, *, shape, itemsize):

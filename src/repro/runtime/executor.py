@@ -299,19 +299,61 @@ def _setup_reduction_arrays(
     return ooc_s, ooc_b, ooc_c
 
 
+def _gathers(vm: VirtualMachine, gather: bool) -> bool:
+    """Whether an engine gathers its result densely.
+
+    Only when the caller asked for it, and never on a rank worker of the
+    distributed backend (``vm.rank`` set): it owns only its own local files,
+    and the parent gathers and verifies instead.
+    """
+    return gather and vm.perform_io and vm.rank is None
+
+
+def _column_runs(
+    descriptor: ArrayDescriptor, start: int, stop: int
+) -> Tuple[Tuple[int, int, int, int, int], ...]:
+    """Split global columns ``[start, stop)`` into runs stored contiguously.
+
+    Each run ``(owner, local_start, local_stop, offset_start, offset_stop)``
+    is a maximal stretch of columns held by one owner at consecutive local
+    columns, so a reduced block lands in the owner's buffer as one slice
+    assignment: ``buffer[:, local_start:local_stop] =
+    block[:, offset_start:offset_stop]``.
+    """
+    owners, local = descriptor.dim_owner_map(1)
+    o, lo = owners[start:stop], local[start:stop]
+    breaks = np.flatnonzero((o[1:] != o[:-1]) | (lo[1:] != lo[:-1] + 1)) + 1
+    bounds = [0, *breaks.tolist(), stop - start]
+    return tuple(
+        (int(o[a]), int(lo[a]), int(lo[a]) + b - a, a, b)
+        for a, b in zip(bounds[:-1], bounds[1:], strict=True)
+        if b > a
+    )
+
+
+def _store_columns(
+    buffers: Dict[int, np.ndarray],
+    block: np.ndarray,
+    runs: Tuple[Tuple[int, int, int, int, int], ...],
+) -> None:
+    """Write a reduced column block into its owners' buffers, run by run."""
+    for owner, l0, l1, m0, m1 in runs:
+        if owner in buffers:
+            buffers[owner][:, l0:l1] = block[:, m0:m1]
+
+
 def _finish_reduction(
     vm: VirtualMachine,
     strategy: str,
     ooc_c: OutOfCoreArray,
     inputs: Optional[ReductionInputs],
     verify: bool,
+    gather: bool,
 ) -> ExecutionResult:
     result_dense: Optional[np.ndarray] = None
     verified: Optional[bool] = None
     max_err: Optional[float] = None
-    # A rank worker of the distributed backend (vm.rank set) owns only its
-    # own local files — the parent gathers and verifies instead.
-    if vm.perform_io and vm.rank is None:
+    if _gathers(vm, gather):
         result_dense = vm.to_dense(ooc_c)
         if verify and inputs is not None:
             reference = reduction_reference(inputs.streamed, inputs.coefficient)
@@ -338,6 +380,8 @@ def run_reduction_column(
     compiled: "CompiledProgram",
     inputs: Optional[ReductionInputs] = None,
     verify: bool = True,
+    *,
+    gather: bool = True,
 ) -> ExecutionResult:
     """Execute the column-slab (naive) out-of-core reduction node program."""
     _require_distinct_operands(compiled)
@@ -353,17 +397,16 @@ def run_reduction_column(
     s_shape = _uniform_local_shape(s_desc)
     b_shape = _uniform_local_shape(ooc_b.descriptor)
     c_shape = _uniform_local_shape(c_desc)
-    nprocs = vm.nprocs
     n_rows = c_desc.shape[0]
     itemsize = c_desc.itemsize
+    c_owner, c_local = (m.tolist() for m in c_desc.dim_owner_map(1))
 
     s_slabs = column_slabs(s_shape, s_entry.lines_per_slab)
+    s_flops = [(slab, 2.0 * slab.nelements) for slab in s_slabs]
     b_slabs = column_slabs(b_shape, b_entry.lines_per_slab)
-    c_slabs = column_slabs(c_shape, c_entry.lines_per_slab)
-    c_slab_of_col = {}
-    for slab in c_slabs:
-        for col in range(slab.col_start, slab.col_stop):
-            c_slab_of_col[col] = slab
+    c_slab_ending_at = {
+        slab.col_stop - 1: slab for slab in column_slabs(c_shape, c_entry.lines_per_slab)
+    }
 
     perform = vm.perform_io
     c_buffers: Dict[int, np.ndarray] = {
@@ -374,7 +417,8 @@ def run_reduction_column(
     # disk once into a float64 staging buffer; every later re-stream of the
     # same slab is charged to the machine (identically to a real re-read) but
     # served from memory.  The arithmetic for all columns of a coefficient
-    # slab is then one BLAS-3 GEMM per rank instead of ncols BLAS-2 matvecs.
+    # slab is then one BLAS-3 GEMM per rank instead of ncols BLAS-2 matvecs,
+    # reduced across ranks as one block.
     a64: Dict[int, np.ndarray] = {}
     products64: Dict[int, np.ndarray] = {}
     if perform:
@@ -388,45 +432,37 @@ def run_reduction_column(
     global_col = 0
     for b_slab in b_slabs:
         b_data = {rank: ooc_b.local(rank).fetch_slab(b_slab) for rank in vm.ranks}
-        b64 = {
-            rank: b_data[rank].astype(np.float64) for rank in vm.ranks
-        } if perform else {}
-        products: Optional[Dict[int, np.ndarray]] = None
-        for m in range(b_slab.ncols):
-            j = global_col
-            global_col += 1
-            for s_slab in s_slabs:
+        reduced = not perform
+        for j in range(global_col, global_col + b_slab.ncols):
+            for s_slab, flops in s_flops:
                 for rank in vm.ranks:
                     if perform and (rank, s_slab.index) not in a_loaded:
                         a64[rank][:, s_slab.col_slice] = ooc_s.local(rank).fetch_slab(s_slab)
                         a_loaded.add((rank, s_slab.index))
                     else:
                         ooc_s.local(rank).charge_fetch(s_slab)
-                    vm.charge_compute(rank, 2.0 * s_slab.nelements)
-            if perform and products is None:
+                    vm.charge_compute(rank, flops)
+            if not reduced:
+                # The streamed slabs are resident after the first column's
+                # pass: one GEMM and one block reduction cover the slab.
                 products = {
-                    rank: np.matmul(a64[rank], b64[rank],
+                    rank: np.matmul(a64[rank], b_data[rank].astype(np.float64),
                                     out=products64[rank][:, : b_slab.ncols])
                     for rank in vm.ranks
                 }
-            column = vm.comm.global_sum(
-                {rank: products[rank][:, m] for rank in vm.ranks} if perform else None,
-                shape=(n_rows,),
-                itemsize=itemsize,
-            )
-            owner = c_desc.owner_of_dim(1, j)
-            local_j = c_desc.global_to_local((0, j))[1]
-            c_slab = c_slab_of_col[local_j]
-            if perform and owner in c_buffers:
-                c_buffers[owner][:, local_j] = column.astype(c_desc.dtype)
-                if local_j == c_slab.col_stop - 1:
-                    ooc_c.local(owner).store_slab(
-                        c_slab, c_buffers[owner][:, c_slab.col_slice]
-                    )
-            elif not perform and local_j == c_slab.col_stop - 1:
-                ooc_c.local(owner).store_slab(c_slab, None)
+                _store_columns(c_buffers, vm.comm.reduce_block(products),
+                               _column_runs(c_desc, global_col, global_col + b_slab.ncols))
+                reduced = True
+            vm.comm.global_sum(None, shape=(n_rows,), itemsize=itemsize)
+            owner, local_j = c_owner[j], c_local[j]
+            c_slab = c_slab_ending_at.get(local_j)
+            if c_slab is not None and (not perform or owner in c_buffers):
+                ooc_c.local(owner).store_slab(
+                    c_slab, c_buffers[owner][:, c_slab.col_slice] if perform else None
+                )
+        global_col += b_slab.ncols
 
-    return _finish_reduction(vm, "column-slab", ooc_c, inputs, verify)
+    return _finish_reduction(vm, "column-slab", ooc_c, inputs, verify, gather)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +473,8 @@ def run_reduction_row(
     compiled: "CompiledProgram",
     inputs: Optional[ReductionInputs] = None,
     verify: bool = True,
+    *,
+    gather: bool = True,
 ) -> ExecutionResult:
     """Execute the reorganized (row-slab) out-of-core reduction node program."""
     _require_distinct_operands(compiled)
@@ -451,7 +489,6 @@ def run_reduction_row(
     s_shape = _uniform_local_shape(s_desc)
     b_shape = _uniform_local_shape(ooc_b.descriptor)
     c_shape = _uniform_local_shape(c_desc)
-    nprocs = vm.nprocs
     itemsize = c_desc.itemsize
 
     s_slabs = row_slabs(s_shape, s_entry.lines_per_slab)
@@ -460,8 +497,10 @@ def run_reduction_row(
     perform = vm.perform_io
 
     # Preallocated per-rank GEMM output buffers, reused across every
-    # (streamed slab, coefficient slab) pair.
+    # (streamed slab, coefficient slab) pair, and each coefficient slab's
+    # result columns split into per-owner runs once.
     products64: Dict[int, np.ndarray] = {}
+    runs: Tuple[Tuple[Tuple[int, int, int, int, int], ...], ...] = ()
     if perform:
         max_s_rows = max(slab.nrows for slab in s_slabs)
         max_b_cols = max(slab.ncols for slab in b_slabs)
@@ -469,6 +508,10 @@ def run_reduction_row(
             rank: np.empty((max_s_rows, max_b_cols), dtype=np.float64)
             for rank in vm.ranks
         }
+        first_col = np.cumsum([0] + [slab.ncols for slab in b_slabs]).tolist()
+        runs = tuple(
+            _column_runs(c_desc, first_col[k], first_col[k + 1]) for k in range(len(b_slabs))
+        )
 
     for s_slab in s_slabs:
         a_data = {rank: ooc_s.local(rank).fetch_slab(s_slab) for rank in vm.ranks}
@@ -481,32 +524,23 @@ def run_reduction_row(
                 rank: np.zeros((s_slab.nrows, c_shape[1]), dtype=c_desc.dtype)
                 for rank in vm.ranks
             }
-        global_col = 0
-        for b_slab in b_slabs:
+        for k, b_slab in enumerate(b_slabs):
             b_data = {rank: ooc_b.local(rank).fetch_slab(b_slab) for rank in vm.ranks}
-            products: Optional[Dict[int, np.ndarray]] = None
             if perform:
                 # One BLAS-3 GEMM per rank covers every column of this
-                # coefficient slab against the resident streamed slab.
+                # coefficient slab against the resident streamed slab; the
+                # products reduce across ranks as one block.
                 products = {
                     rank: np.matmul(a64[rank], b_data[rank].astype(np.float64),
                                     out=products64[rank][: s_slab.nrows, : b_slab.ncols])
                     for rank in vm.ranks
                 }
-            for m in range(b_slab.ncols):
-                j = global_col
-                global_col += 1
+                _store_columns(c_buffer, vm.comm.reduce_block(products), runs[k])
+            flops = 2.0 * s_slab.nelements
+            for _ in range(b_slab.ncols):
                 for rank in vm.ranks:
-                    vm.charge_compute(rank, 2.0 * s_slab.nelements)
-                subcolumn = vm.comm.global_sum(
-                    {rank: products[rank][:, m] for rank in vm.ranks} if perform else None,
-                    shape=(s_slab.nrows,),
-                    itemsize=itemsize,
-                )
-                owner = c_desc.owner_of_dim(1, j)
-                local_j = c_desc.global_to_local((0, j))[1]
-                if perform and owner in c_buffer:
-                    c_buffer[owner][:, local_j] = subcolumn.astype(c_desc.dtype)
+                    vm.charge_compute(rank, flops)
+                vm.comm.global_sum(None, shape=(s_slab.nrows,), itemsize=itemsize)
         # the row slab of the result is complete on every owner: flush it
         c_row_slab = Slab(
             index=s_slab.index,
@@ -518,7 +552,7 @@ def run_reduction_row(
         for rank in vm.ranks:
             ooc_c.local(rank).store_slab(c_row_slab, c_buffer.get(rank) if perform else None)
 
-    return _finish_reduction(vm, "row-slab", ooc_c, inputs, verify)
+    return _finish_reduction(vm, "row-slab", ooc_c, inputs, verify, gather)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +563,8 @@ def run_reduction_incore(
     compiled: "CompiledProgram",
     inputs: Optional[ReductionInputs] = None,
     verify: bool = True,
+    *,
+    gather: bool = True,
 ) -> ExecutionResult:
     """Execute the in-core baseline: read every local array once, keep it in memory."""
     _require_distinct_operands(compiled)
@@ -537,7 +573,6 @@ def run_reduction_incore(
                                                   result_order="F", streamed_order="F")
     c_desc = ooc_c.descriptor
     c_shape = _uniform_local_shape(c_desc)
-    nprocs = vm.nprocs
     n_rows = c_desc.shape[0]
     n_cols = c_desc.shape[1]
     itemsize = c_desc.itemsize
@@ -549,34 +584,26 @@ def run_reduction_incore(
         rank: np.zeros(c_shape, dtype=c_desc.dtype) for rank in vm.ranks
     } if perform else {}
 
-    # One whole-local-array GEMM per rank; the per-column loop below only
-    # charges costs and runs the (per-column) global sums.
-    products: Dict[int, np.ndarray] = {}
+    # One whole-local-array GEMM per rank and one block reduction; the
+    # per-column loop below only charges costs.
     if perform:
         products = {
             rank: a_data[rank].astype(np.float64) @ b_data[rank].astype(np.float64)
             for rank in vm.ranks
         }
+        _store_columns(c_local, vm.comm.reduce_block(products), _column_runs(c_desc, 0, n_cols))
 
     flops_per_proc = analysis.flops_per_proc
     per_column_flops = flops_per_proc / max(n_cols, 1)
-    for j in range(n_cols):
-        contributions = None
-        if perform:
-            contributions = {rank: products[rank][:, j] for rank in vm.ranks}
+    for _ in range(n_cols):
         for rank in vm.ranks:
             vm.charge_compute(rank, per_column_flops)
-        column = vm.comm.global_sum(contributions, shape=(n_rows,), itemsize=itemsize)
-        if perform:
-            owner = c_desc.owner_of_dim(1, j)
-            local_j = c_desc.global_to_local((0, j))[1]
-            if owner in c_local:
-                c_local[owner][:, local_j] = column.astype(c_desc.dtype)
+        vm.comm.global_sum(None, shape=(n_rows,), itemsize=itemsize)
 
     for rank in vm.ranks:
         ooc_c.local(rank).store_all(c_local.get(rank) if perform else None)
 
-    return _finish_reduction(vm, "in-core", ooc_c, inputs, verify)
+    return _finish_reduction(vm, "in-core", ooc_c, inputs, verify, gather)
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +614,8 @@ def run_reduction_single_operand(
     compiled: "CompiledProgram",
     inputs: Optional[ReductionInputs] = None,
     verify: bool = True,
+    *,
+    gather: bool = True,
 ) -> ExecutionResult:
     """Execute a reduction whose streamed and coefficient operands are one array.
 
@@ -615,11 +644,12 @@ def run_reduction_single_operand(
     s_desc, c_desc = ooc_s.descriptor, ooc_c.descriptor
     s_shape = _uniform_local_shape(s_desc)
     c_shape = _uniform_local_shape(c_desc)
-    nprocs = vm.nprocs
     n_rows = c_desc.shape[0]
     n_cols = c_desc.shape[1]
     itemsize = c_desc.itemsize
     perform = vm.perform_io
+    s_owner, s_local = (m.tolist() for m in s_desc.dim_owner_map(1))
+    c_owner, c_local = (m.tolist() for m in c_desc.dim_owner_map(1))
 
     # One read pass: stage the full local part of `a` (float64) per rank.
     a64: Dict[int, np.ndarray] = {}
@@ -637,44 +667,49 @@ def run_reduction_single_operand(
     c_buffers: Dict[int, np.ndarray] = {
         rank: np.zeros(c_shape, dtype=c_desc.dtype) for rank in vm.ranks
     } if perform else {}
-    c_slabs = column_slabs(c_shape, c_entry.lines_per_slab)
-    c_slab_of_col = {}
-    for slab in c_slabs:
-        for col in range(slab.col_start, slab.col_stop):
-            c_slab_of_col[col] = slab
+    c_slab_ending_at = {
+        slab.col_stop - 1: slab for slab in column_slabs(c_shape, c_entry.lines_per_slab)
+    }
 
+    # Partial columns accumulate per rank and reduce as one block whenever a
+    # result slab completes (on every rank alike: the reduction is collective).
+    partials: Dict[int, list] = {rank: [] for rank in vm.ranks}
+    window_start = 0
     for j in range(n_cols):
         # The owner of column j of `a` broadcasts it; every rank slices the
         # rows matching its owned reduce indices and forms the partial.
-        coeff_owner = s_desc.owner_of_dim(1, j)
-        coeff_local_j = s_desc.global_to_local((0, j))[1]
+        coeff_owner = s_owner[j]
         column_j = vm.comm.broadcast(
             coeff_owner,
-            a64[coeff_owner][:, coeff_local_j]
+            a64[coeff_owner][:, s_local[j]]
             if perform and coeff_owner in a64 else None,
             shape=(s_desc.shape[0],),
             itemsize=itemsize,
         )
-        contributions = None
         if perform:
-            contributions = {
-                rank: a64[rank] @ column_j[owned_cols[rank]] for rank in vm.ranks
-            }
+            for rank in vm.ranks:
+                partials[rank].append(a64[rank] @ column_j[owned_cols[rank]])
         for rank in vm.ranks:
             vm.charge_compute(rank, 2.0 * s_shape[0] * s_shape[1])
-        column = vm.comm.global_sum(contributions, shape=(n_rows,), itemsize=itemsize)
-        owner = c_desc.owner_of_dim(1, j)
-        local_j = c_desc.global_to_local((0, j))[1]
-        c_slab = c_slab_of_col[local_j]
-        if perform and owner in c_buffers:
-            c_buffers[owner][:, local_j] = column.astype(c_desc.dtype)
-            if local_j == c_slab.col_stop - 1:
-                ooc_c.local(owner).store_slab(c_slab, c_buffers[owner][:, c_slab.col_slice])
-        elif not perform and local_j == c_slab.col_stop - 1:
-            ooc_c.local(owner).store_slab(c_slab, None)
+        vm.comm.global_sum(None, shape=(n_rows,), itemsize=itemsize)
+        owner, local_j = c_owner[j], c_local[j]
+        c_slab = c_slab_ending_at.get(local_j)
+        if c_slab is None:
+            continue
+        if perform:
+            block = vm.comm.reduce_block(
+                {rank: np.stack(columns, axis=1) for rank, columns in partials.items()}
+            )
+            _store_columns(c_buffers, block, _column_runs(c_desc, window_start, j + 1))
+            partials = {rank: [] for rank in vm.ranks}
+            window_start = j + 1
+        if not perform or owner in c_buffers:
+            ooc_c.local(owner).store_slab(
+                c_slab, c_buffers[owner][:, c_slab.col_slice] if perform else None
+            )
 
     return _finish_reduction(vm, f"{plan.strategy.value}-slab single-operand",
-                             ooc_c, inputs, verify)
+                             ooc_c, inputs, verify, gather)
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +727,7 @@ def run_elementwise_plan(
     a_dense: Optional[np.ndarray] = None,
     b_dense: Optional[np.ndarray] = None,
     verify: bool = True,
+    gather: bool = True,
 ) -> ExecutionResult:
     """Compute ``c = op(a, b)`` out of core, slab by slab.
 
@@ -720,7 +756,7 @@ def run_elementwise_plan(
             else:
                 ooc_c.local(rank).store_slab(slab, None)
 
-    result = vm.to_dense(ooc_c) if vm.perform_io and vm.rank is None else None
+    result = vm.to_dense(ooc_c) if _gathers(vm, gather) else None
     verified: Optional[bool] = None
     if verify and result is not None and a_dense is not None and b_dense is not None:
         expected = op(np.asarray(a_dense, dtype=np.float64), np.asarray(b_dense, dtype=np.float64))
@@ -744,6 +780,8 @@ def run_fused_elementwise_plan(
     compiled: "CompiledProgram",
     inputs: Optional[Dict[str, np.ndarray]] = None,
     verify: bool = True,
+    *,
+    gather: bool = True,
 ) -> ExecutionResult:
     """Execute a fused elementwise pair: the intermediate never touches disk.
 
@@ -806,7 +844,7 @@ def run_fused_elementwise_plan(
             else:
                 ooc[result].local(rank).store_slab(slab, None)
 
-    result_dense = vm.to_dense(ooc[result]) if vm.perform_io and vm.rank is None else None
+    result_dense = vm.to_dense(ooc[result]) if _gathers(vm, gather) else None
     verified: Optional[bool] = None
     needed = {p_lhs, p_rhs, other}
     if verify and result_dense is not None and needed <= set(dense):
@@ -836,6 +874,7 @@ def run_transpose_plan(
     cols_per_slab: int = 8,
     a_dense: Optional[np.ndarray] = None,
     verify: bool = True,
+    gather: bool = True,
 ) -> ExecutionResult:
     """Compute ``dst = src^T`` out of core with both arrays column-block distributed.
 
@@ -884,8 +923,7 @@ def run_transpose_plan(
             delivered = vm.comm.scatter(src, pieces)
             for dest, piece in delivered.items():
                 # piece has shape (|dest columns|, |slab columns|)
-                for offset, gcol in enumerate(global_cols):
-                    result_locals[dest][gcol, :] = piece[:, offset]
+                result_locals[dest][global_cols, :] = piece.T
 
     # write the transposed local arrays slab by slab
     for rank in vm.ranks:
@@ -898,7 +936,7 @@ def run_transpose_plan(
             else:
                 target.local(rank).store_slab(slab, None)
 
-    result = vm.to_dense(target) if vm.perform_io and vm.rank is None else None
+    result = vm.to_dense(target) if _gathers(vm, gather) else None
     verified: Optional[bool] = None
     if verify and result is not None and a_dense is not None:
         verified = bool(np.allclose(result, np.asarray(a_dense).T, rtol=1e-5, atol=1e-5))
@@ -956,6 +994,8 @@ class NodeProgramExecutor:
         inputs: Optional[object] = None,
         verify: bool = True,
         recover: bool = True,
+        *,
+        gather: bool = True,
     ) -> ExecutionResult:
         """Drive ``vm`` through the compiled plan's slab loops.
 
@@ -964,7 +1004,9 @@ class NodeProgramExecutor:
         loops run charge-only.  ``inputs`` is a :class:`ReductionInputs` for
         reduction programs or a mapping of array name to dense operand for
         elementwise/transpose programs (``None`` generates nothing — required
-        only for verified ``EXECUTE`` runs).
+        only for verified ``EXECUTE`` runs).  ``gather=False`` leaves the
+        result in its Local Array Files: no dense ``result`` and no
+        verification (the whole-program executor gathers once at the end).
 
         When a fault injector is active and ``recover`` is true (the
         default), a mid-statement checksum mismatch triggers a
@@ -976,18 +1018,18 @@ class NodeProgramExecutor:
         cannot).
         """
         if not (recover and vm.perform_io and vm.fault_injector is not None):
-            return self._run_once(vm, inputs, verify)
+            return self._run_once(vm, inputs, verify, gather)
         budget = _recovery_budget(vm, len(self.compiled.program.arrays))
         attempts = 0
         while True:
             snapshot = vm.snapshot_charges()
             try:
                 if attempts == 0:
-                    return self._run_once(vm, inputs, verify)
+                    return self._run_once(vm, inputs, verify, gather)
                 # A retry finds the statement's arrays already created; the
                 # reuse scope lets the engines overwrite them in place.
                 with vm.array_reuse():
-                    result = self._run_once(vm, inputs, verify)
+                    result = self._run_once(vm, inputs, verify, gather)
                 vm.resilience.statements_recovered += 1
                 return result
             except SlabCorruptionError:
@@ -1003,31 +1045,34 @@ class NodeProgramExecutor:
         vm: VirtualMachine,
         inputs: Optional[object] = None,
         verify: bool = True,
+        gather: bool = True,
     ) -> ExecutionResult:
         kind = self._statement_kind()
         if kind == "reduction":
-            return self._run_reduction(vm, inputs, verify)
+            return self._run_reduction(vm, inputs, verify, gather)
         if kind == "elementwise":
-            return self._run_elementwise(vm, inputs, verify)
+            return self._run_elementwise(vm, inputs, verify, gather)
         if kind == "fused-elementwise":
             return run_fused_elementwise_plan(
-                vm, self.compiled, dict(inputs or {}), verify
+                vm, self.compiled, dict(inputs or {}), verify, gather=gather
             )
-        return self._run_transpose(vm, inputs, verify)
+        return self._run_transpose(vm, inputs, verify, gather)
 
-    def _run_reduction(self, vm, inputs, verify) -> ExecutionResult:
+    def _run_reduction(self, vm, inputs, verify, gather) -> ExecutionResult:
         if inputs is not None and not isinstance(inputs, ReductionInputs):
             raise RuntimeExecutionError(
                 "execute expects GaxpyInputs/ReductionInputs for reduction-class programs"
             )
         compiled = self.compiled
         if compiled.analysis.coefficient == compiled.analysis.streamed:
-            return run_reduction_single_operand(vm, compiled, inputs, verify)
-        if compiled.plan.strategy is SlabbingStrategy.ROW:
-            return run_reduction_row(vm, compiled, inputs, verify)
-        return run_reduction_column(vm, compiled, inputs, verify)
+            engine = run_reduction_single_operand
+        elif compiled.plan.strategy is SlabbingStrategy.ROW:
+            engine = run_reduction_row
+        else:
+            engine = run_reduction_column
+        return engine(vm, compiled, inputs, verify, gather=gather)
 
-    def _run_elementwise(self, vm, inputs, verify) -> ExecutionResult:
+    def _run_elementwise(self, vm, inputs, verify, gather) -> ExecutionResult:
         compiled = self.compiled
         analysis = compiled.analysis
         arrays = compiled.program.arrays
@@ -1044,9 +1089,10 @@ class NodeProgramExecutor:
             a_dense=dense.get(lhs),
             b_dense=dense.get(rhs),
             verify=verify,
+            gather=gather,
         )
 
-    def _run_transpose(self, vm, inputs, verify) -> ExecutionResult:
+    def _run_transpose(self, vm, inputs, verify, gather) -> ExecutionResult:
         compiled = self.compiled
         analysis = compiled.analysis
         arrays = compiled.program.arrays
@@ -1058,6 +1104,7 @@ class NodeProgramExecutor:
             cols_per_slab=compiled.plan.entry(analysis.source).lines_per_slab,
             a_dense=dense.get(analysis.source),
             verify=verify,
+            gather=gather,
         )
 
     # ------------------------------------------------------------------
@@ -1391,7 +1438,7 @@ class ProgramExecutor:
                     self._repair(vm, pending, compiled_statement, dense)
                     pending = None
                 NodeProgramExecutor(compiled_statement).run(
-                    vm, statement_inputs, verify=False, recover=False
+                    vm, statement_inputs, verify=False, recover=False, gather=False
                 )
                 if verify_boundary:
                     self._verify_statement_results(vm, compiled_statement)
@@ -1430,7 +1477,7 @@ class ProgramExecutor:
             snapshot = vm.snapshot_charges()
             try:
                 NodeProgramExecutor(producer_statement).run(
-                    vm, producer_inputs, verify=False, recover=False
+                    vm, producer_inputs, verify=False, recover=False, gather=False
                 )
             finally:
                 # Regeneration is pure recovery: the program already paid for

@@ -252,3 +252,17 @@ def test_local_shapes_partition_global(n, p):
     template = Template("d", n, grid, ["block"])
     desc = ArrayDescriptor("x", (n, n), Alignment(template, ["*", ":"]))
     assert sum(desc.local_size(r) for r in range(p)) == n * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), p=st.integers(1, 8), kind=st.sampled_from(["block", "cyclic"]))
+def test_dim_owner_map_matches_per_element_lookups(n, p, kind):
+    """The cached column map agrees with owner_of / global_to_local per column."""
+    template = Template("d", n, ProcessorGrid("Pr", p), [kind])
+    desc = ArrayDescriptor("x", (3, n), Alignment(template, ["*", ":"]))
+    owners, local = desc.dim_owner_map(1)
+    assert owners.tolist() == [desc.owner_of((0, j)) for j in range(n)]
+    assert local.tolist() == [desc.global_to_local((0, j))[1] for j in range(n)]
+    assert desc.dim_owner_map(1) is desc.dim_owner_map(1)
+    with pytest.raises(DistributionError):
+        desc.dim_owner_map(0)

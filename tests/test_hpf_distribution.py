@@ -208,3 +208,67 @@ def test_block_locality_of_block_distribution(kind, extent, nprocs):
         indices = dist.local_indices(p)
         if len(indices) > 1:
             assert np.all(np.diff(indices) == 1)
+
+
+# ---------------------------------------------------------------------------
+# closed-form local_indices against its definition
+# ---------------------------------------------------------------------------
+def _by_definition(dist, proc):
+    return [dist.local_to_global(proc, lindex) for lindex in range(dist.local_size(proc))]
+
+
+def _every_kind(extent: int, nprocs: int):
+    yield BlockDistribution(extent, nprocs)
+    yield CyclicDistribution(extent, nprocs)
+    yield ReplicatedDistribution(extent, nprocs)
+    for block in (1, 2, 3, 5):
+        yield BlockCyclicDistribution(extent, nprocs, block=block)
+
+
+@settings(max_examples=200, deadline=None)
+@given(extent=st.integers(0, 120), nprocs=st.integers(1, 17))
+def test_closed_form_local_indices_match_definition(extent, nprocs):
+    """Covers uneven extents, partial last CYCLIC(k) blocks, P > N and N = 0."""
+    for dist in _every_kind(extent, nprocs):
+        for proc in range(nprocs):
+            indices = dist.local_indices(proc)
+            assert indices.dtype == np.int64
+            assert indices.tolist() == _by_definition(dist, proc), (dist, proc)
+
+
+@pytest.mark.parametrize("extent, nprocs", [(10, 4), (11, 3), (3, 8), (0, 4), (1, 1), (7, 7)])
+def test_closed_form_local_indices_edge_cases(extent, nprocs):
+    for dist in _every_kind(extent, nprocs):
+        for proc in range(nprocs):
+            assert dist.local_indices(proc).tolist() == _by_definition(dist, proc)
+
+
+def test_block_cyclic_partial_last_block():
+    dist = BlockCyclicDistribution(11, 2, block=3)  # blocks [0-2][3-5][6-8][9-10]
+    assert dist.local_indices(0).tolist() == [0, 1, 2, 6, 7, 8]
+    assert dist.local_indices(1).tolist() == [3, 4, 5, 9, 10]
+
+
+def test_local_indices_reject_bad_processor():
+    for dist in _every_kind(8, 2):
+        with pytest.raises(DistributionError):
+            dist.local_indices(2)
+
+
+@pytest.mark.parametrize("kinds", [("block", "cyclic"), ("block", "block"), ("cyclic", "block")])
+def test_scatter_gather_round_trip_2d(kinds):
+    """BLOCK x CYCLIC owns non-contiguous columns (the ``np.ix_`` path);
+    BLOCK x BLOCK owns contiguous ranges (the basic-slice path)."""
+    from repro.hpf import Alignment, ArrayDescriptor, ProcessorGrid, Template
+
+    shape = (7, 10)  # uneven along both grid dimensions
+    template = Template("t", shape, ProcessorGrid("G", (2, 3)), list(kinds))
+    desc = ArrayDescriptor("x", shape, Alignment(template, [":", ":"]))
+    dense = np.arange(70, dtype=np.float64).reshape(shape)
+    locals_ = desc.scatter(dense)
+    for rank, local in locals_.items():
+        rows, cols = desc.local_index_ranges(rank)
+        assert local.shape == desc.local_shape(rank)
+        np.testing.assert_array_equal(local, dense[np.ix_(rows, cols)])
+        assert not np.shares_memory(local, dense)
+    np.testing.assert_array_equal(desc.gather(locals_), dense)

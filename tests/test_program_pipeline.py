@@ -368,6 +368,52 @@ class TestProgramExecution:
             )
         assert set(result.outputs) == {"t", "c"}
 
+    @pytest.mark.parametrize("source", [None, TRANSPOSE_THEN_MULTIPLY_SOURCE],
+                             ids=["reduction-then-add", "transpose-then-reduction"])
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_each_result_gathered_once(self, tmp_path, monkeypatch, source, verify):
+        """The engines leave their results on disk; the program gathers each once.
+
+        ``read_full`` is the gather's read.  The statement-boundary checksum
+        audit (``verify_checksums``) is not a gather and is left out of the
+        count.
+        """
+        from repro.runtime.laf import LocalArrayFile
+
+        ir = (build_pipeline_ir(N, NPROCS) if source is None
+              else frontend_to_ir(parse_program(source)))
+        compiled = compile_program(ir, slab_ratio=0.25)
+        dense = _dense_inputs(compiled.program)
+        reads: dict = {}
+        auditing = []
+        read_full = LocalArrayFile.read_full
+        verify_checksums = LocalArrayFile.verify_checksums
+
+        def counting_read_full(laf):
+            if not auditing:
+                key = (laf.array_name, laf.rank)
+                reads[key] = reads.get(key, 0) + 1
+            return read_full(laf)
+
+        def uncounted_verify_checksums(laf):
+            auditing.append(laf)
+            try:
+                return verify_checksums(laf)
+            finally:
+                auditing.pop()
+
+        monkeypatch.setattr(LocalArrayFile, "read_full", counting_read_full)
+        monkeypatch.setattr(LocalArrayFile, "verify_checksums", uncounted_verify_checksums)
+        with VirtualMachine(NPROCS, compiled.params, RunConfig(scratch_dir=tmp_path)) as vm:
+            result = ProgramExecutor(compiled).execute(vm, dense, verify=verify)
+        if verify:
+            assert result.verified is True
+        gathered = set(compiled.program.result_arrays()) if verify else {
+            compiled.program.result_arrays()[-1]
+        }
+        assert set(result.outputs) == gathered
+        assert reads == {(name, rank): 1 for name in gathered for rank in range(NPROCS)}
+
     def test_mixed_strategy_cost_label(self):
         compiled = compile_program(build_pipeline_ir(N, NPROCS), slab_ratio=0.25)
         strategies = {c.plan.strategy for c in compiled.statements}

@@ -2,6 +2,8 @@
 :mod:`repro.runtime.redistribution` (previously covered only indirectly
 through the kernels)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,59 @@ class TestGlobalSum:
         global_sum(machine, None, shape=(4,), itemsize=8)
         # a blocking collective makes the slowest processor set the pace
         assert machine.clocks[1].now > ahead - 1e-12
+
+
+class TestBlockReduction:
+    """One block reduction per slab pair is bitwise the per-column global sums."""
+
+    @staticmethod
+    def _estimate_vm(nprocs=4):
+        return VirtualMachine(nprocs, config=RunConfig(mode=ExecutionMode.ESTIMATE))
+
+    @pytest.mark.parametrize("contribution_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("result_dtype", [np.float32, np.float64])
+    def test_block_equals_per_column_global_sum(self, contribution_dtype, result_dtype):
+        rng = np.random.default_rng(1997)
+        nrows, ncols, itemsize = 37, 11, np.dtype(result_dtype).itemsize
+        contributions = {
+            rank: (rng.standard_normal((nrows, ncols)) * 10.0 ** rng.integers(-6, 6))
+            .astype(contribution_dtype)
+            for rank in range(4)
+        }
+        per_column_vm, block_vm = self._estimate_vm(), self._estimate_vm()
+        # Uneven clocks, so the charge-only sums really synchronize.
+        for vm in (per_column_vm, block_vm):
+            vm.charge_compute(2, 1e6)
+
+        expected = np.empty((nrows, ncols), dtype=result_dtype)
+        for m in range(ncols):
+            column = per_column_vm.comm.global_sum(
+                {rank: part[:, m] for rank, part in contributions.items()},
+                shape=(nrows,), itemsize=itemsize,
+            )
+            expected[:, m] = column.astype(result_dtype)
+
+        actual = np.empty((nrows, ncols), dtype=result_dtype)
+        actual[:, :] = block_vm.comm.reduce_block(contributions)
+        for _ in range(ncols):
+            assert block_vm.comm.global_sum(None, shape=(nrows,), itemsize=itemsize) is None
+
+        assert actual.tobytes() == expected.tobytes()
+        assert pickle.dumps(block_vm.snapshot_charges()) == \
+            pickle.dumps(per_column_vm.snapshot_charges())
+
+    def test_block_reduction_is_uncharged(self):
+        vm = self._estimate_vm()
+        before = pickle.dumps(vm.snapshot_charges())
+        vm.comm.reduce_block({rank: np.ones((3, 2)) for rank in range(4)})
+        assert pickle.dumps(vm.snapshot_charges()) == before
+
+    def test_block_reduction_validates_contributions(self):
+        vm = self._estimate_vm()
+        with pytest.raises(CollectiveError, match="missing contribution from rank 3"):
+            vm.comm.reduce_block({rank: np.ones(2) for rank in (0, 1, 2, 4)})
+        with pytest.raises(CollectiveError, match="shape"):
+            vm.comm.reduce_block({rank: np.ones(2 + (rank == 1)) for rank in range(4)})
 
 
 class TestBroadcast:
